@@ -7,7 +7,7 @@
 //! binaries measure the full-size runtimes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sm_attack::attack::{AttackConfig, Kernel, ScoreOptions, TrainedAttack};
+use sm_attack::attack::{AttackConfig, Oracle, ScoreOptions, TrainedAttack};
 use sm_attack::Parallelism;
 use sm_layout::{SplitLayer, SplitView, Suite};
 
@@ -87,8 +87,8 @@ fn bench_y_limit_speedup(c: &mut Criterion) {
 }
 
 fn bench_scoring_kernels(c: &mut Criterion) {
-    // Compiled (flattened ensemble + SoA features, batched) vs reference
-    // per-pair scoring — same model, same design, bit-identical output.
+    // Compiled (flattened ensemble + SoA features, batched) vs the
+    // per-pair oracle — same model, same design, bit-identical output.
     // The `BENCH_attack.json` emitter reports the same comparison
     // end-to-end; this group tracks it with criterion statistics.
     let suite = Suite::ispd2011_like(BENCH_SCALE).expect("suite");
@@ -98,19 +98,22 @@ fn bench_scoring_kernels(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
+    let opts = ScoreOptions {
+        parallelism: Parallelism::Sequential,
+        ..ScoreOptions::default()
+    };
     for config in [AttackConfig::ml9(), AttackConfig::imp9()] {
         let model = TrainedAttack::train(&config, &train, None).expect("train");
-        for kernel in [Kernel::Compiled, Kernel::Reference] {
-            let opts = ScoreOptions {
-                kernel,
-                parallelism: Parallelism::Sequential,
-                ..ScoreOptions::default()
+        for (label, per_pair) in [("compiled", false), ("reference", true)] {
+            let oracle = Oracle {
+                per_pair,
+                ..Oracle::default()
             };
             group.bench_with_input(
-                BenchmarkId::new(config.name.clone(), kernel),
-                &opts,
-                |b, o| {
-                    b.iter(|| model.score(&views[0], o));
+                BenchmarkId::new(config.name.clone(), label),
+                &oracle,
+                |b, &o| {
+                    b.iter(|| model.score_oracle(&views[0], &opts, o));
                 },
             );
         }

@@ -38,9 +38,12 @@ fn bench_training(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(5));
     for n in [2_000usize, 8_000] {
         let ds = training_set(n);
-        for backend in [TreeBackend::Reference, TreeBackend::Binned] {
+        for (label, backend) in [
+            ("reference", TreeBackend::Reference),
+            ("binned", TreeBackend::Binned),
+        ] {
             let learner = RepTreeLearner::with_backend(backend);
-            group.bench_function(BenchmarkId::new(format!("{backend}"), n), |b| {
+            group.bench_function(BenchmarkId::new(label, n), |b| {
                 b.iter(|| Bagging::fit(&ds, &learner, 10, 1).expect("fit"));
             });
         }

@@ -1,6 +1,8 @@
-//! Attack-scoring benchmark: compiled vs reference kernel, spatial vs
-//! all-pairs candidate enumeration, on the same trained model and target
-//! design.
+//! Attack-scoring benchmark: the shipping scoring path against the
+//! per-pair oracle kernel and the all-pairs oracle enumeration
+//! ([`Oracle`]), on the same trained model and target design. Every pass
+//! runs on one thread (`Parallelism::Sequential`), so the kernel ratio
+//! does not move with the host's CPU count; the report records both.
 //!
 //! Emits a machine-readable report (`BENCH_attack.json` shape) with
 //! end-to-end pairs/s per kernel, a per-stage split of the compiled path
@@ -34,11 +36,9 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use sm_attack::attack::{
-    AttackConfig, Enumeration, Kernel, ScoreOptions, TrainedAttack, SCORE_BATCH,
-};
+use sm_attack::attack::{AttackConfig, Oracle, ScoreOptions, TrainedAttack, SCORE_BATCH};
 use sm_attack::neighborhood::VpinIndex;
-use sm_attack::PairKernel;
+use sm_attack::{PairKernel, Parallelism};
 use sm_bench::{peak_rss_bytes, Harness};
 use sm_layout::SplitView;
 
@@ -93,6 +93,10 @@ struct Report {
     design: String,
     num_vpins: usize,
     top_fraction: f64,
+    /// Scoring threads of every timed pass (pinned to 1).
+    threads: usize,
+    /// CPUs the host offered (`available_parallelism`).
+    nproc: usize,
     pairs_scored: u64,
     /// Null when `SM_BENCH_ORACLE=0` skips the reference kernel.
     reference: Option<KernelResult>,
@@ -127,28 +131,26 @@ fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
     }
 }
 
+/// Best-of-`iters` wall time of scoring `view` through `oracle`
+/// (`Oracle::default()` is the shipping path), plus the pairs scored.
 fn time_kernel(
     model: &TrainedAttack,
     view: &SplitView,
-    kernel: Kernel,
-    base: &ScoreOptions,
+    oracle: Oracle,
+    opts: &ScoreOptions,
     iters: usize,
 ) -> (f64, u64) {
-    let opts = ScoreOptions {
-        kernel,
-        ..base.clone()
-    };
     // Warm-up iteration (page in the model, populate allocator pools) —
     // skipped for single-pass paper-scale runs, where a pass is minutes.
     let mut pairs = if iters > 1 {
-        model.score(view, &opts).pairs_scored
+        model.score_oracle(view, opts, oracle).pairs_scored
     } else {
         0
     };
     let mut best = f64::INFINITY;
     for _ in 0..iters.max(1) {
         let t = Instant::now();
-        let scored = model.score(view, &opts);
+        let scored = model.score_oracle(view, opts, oracle);
         best = best.min(t.elapsed().as_secs_f64());
         pairs = scored.pairs_scored;
     }
@@ -338,17 +340,22 @@ fn main() {
     let target = &views[0];
     let base = ScoreOptions {
         top_fraction,
+        parallelism: Parallelism::Sequential,
         ..ScoreOptions::default()
+    };
+    let per_pair = Oracle {
+        per_pair: true,
+        ..Oracle::default()
     };
 
     eprintln!("[bench_attack] scoring with compiled kernel (spatial enumeration) ...");
-    let (comp_s, comp_pairs) = time_kernel(&model, target, Kernel::Compiled, &base, iters);
+    let (comp_s, comp_pairs) = time_kernel(&model, target, Oracle::default(), &base, iters);
 
     let (mut reference, mut speedup, mut stages) = (None, None, None);
     let mut oracle_checked = false;
     if oracle {
         eprintln!("[bench_attack] scoring with reference kernel ...");
-        let (ref_s, ref_pairs) = time_kernel(&model, target, Kernel::Reference, &base, iters);
+        let (ref_s, ref_pairs) = time_kernel(&model, target, per_pair, &base, iters);
         assert_eq!(
             ref_pairs, comp_pairs,
             "kernels must evaluate the same pair set"
@@ -362,11 +369,12 @@ fn main() {
         stages = Some(stage_split(&model, target, iters));
         eprintln!("[bench_attack] verifying spatial enumeration against the oracle ...");
         let spatial = model.score(target, &base);
-        let all_pairs = model.score(
+        let all_pairs = model.score_oracle(
             target,
-            &ScoreOptions {
-                enumeration: Enumeration::AllPairs,
-                ..base.clone()
+            &base,
+            Oracle {
+                all_pairs: true,
+                ..Oracle::default()
             },
         );
         assert_eq!(
@@ -386,6 +394,8 @@ fn main() {
         design: target.name.clone(),
         num_vpins: target.num_vpins(),
         top_fraction,
+        threads: base.parallelism.worker_count(usize::MAX),
+        nproc: std::thread::available_parallelism().map_or(1, |p| p.get()),
         pairs_scored: pairs,
         reference,
         compiled: KernelResult {

@@ -7,12 +7,16 @@
 //! threshold, trade-off curves, and proximity attacks are derived without
 //! re-running inference (Section III-F).
 
+use std::ops::Range;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sm_layout::SplitView;
 use sm_ml::parallel::par_chunks;
-use sm_ml::{Bagging, Dataset, Parallelism, RandomTreeLearner, RepTreeLearner, TreeBackend};
+use sm_ml::{
+    Bagging, CompiledEnsemble, Dataset, Parallelism, RandomTreeLearner, RepTreeLearner, TreeBackend,
+};
 
 use crate::error::AttackError;
 use crate::features::{FeatureSet, PairKernel};
@@ -31,119 +35,17 @@ pub const SCORE_BATCH: usize = 256;
 /// Default [`ScoreOptions::top_floor`].
 pub const DEFAULT_TOP_FLOOR: usize = 16;
 
-/// Which scoring implementation [`TrainedAttack::score`] runs.
+/// Training oracle selector, for the parity suites and benches only.
 ///
-/// Both kernels produce bit-identical [`ScoredView`]s (proven by the
-/// parity test suite); the choice only affects wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Kernel {
-    /// Batched flat-array path: [`sm_ml::CompiledEnsemble`] over rows
-    /// filled by [`PairKernel`], [`SCORE_BATCH`] candidates at a time.
-    #[default]
-    Compiled,
-    /// The original per-pair path: [`FeatureSet::compute_into`] +
-    /// [`sm_ml::Bagging::proba`] per candidate. Kept as the
-    /// bit-for-bit-checkable baseline.
-    Reference,
-}
-
-/// Error parsing a [`Kernel`] from a string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseKernelError(String);
-
-impl std::fmt::Display for ParseKernelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "expected 'compiled' or 'reference', got '{}'", self.0)
-    }
-}
-
-impl std::error::Error for ParseKernelError {}
-
-impl std::str::FromStr for Kernel {
-    type Err = ParseKernelError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "compiled" => Ok(Kernel::Compiled),
-            "reference" | "ref" => Ok(Kernel::Reference),
-            _ => Err(ParseKernelError(s.to_owned())),
-        }
-    }
-}
-
-impl std::fmt::Display for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Kernel::Compiled => write!(f, "compiled"),
-            Kernel::Reference => write!(f, "reference"),
-        }
-    }
-}
-
-/// How [`TrainedAttack::score`] enumerates candidate pairs per target.
-///
-/// Both strategies visit exactly the same candidate *set* per target, and
-/// the top-K keeper orders candidates under a total preference order (see
-/// `cand_cmp`), so the resulting [`ScoredView`]s are bit-identical — proven
-/// by `tests/enumeration_parity.rs` over all benchmarks and split layers.
-/// The choice only affects time and memory: spatial enumeration is
-/// O(neighbors) per target instead of O(n), which is what makes
-/// paper-scale (`SM_SCALE >= 10`, 10⁸+ candidate pairs) attacks feasible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Enumeration {
-    /// Radius / same-track queries against the [`VpinIndex`] spatial grid
-    /// (the streaming default).
-    #[default]
-    Spatial,
-    /// Per-target scan over all n v-pins with a distance/track filter —
-    /// the oracle the spatial path is checked against.
-    AllPairs,
-}
-
-/// Error parsing an [`Enumeration`] from a string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseEnumerationError(String);
-
-impl std::fmt::Display for ParseEnumerationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "expected 'spatial' or 'all-pairs', got '{}'", self.0)
-    }
-}
-
-impl std::error::Error for ParseEnumerationError {}
-
-impl std::str::FromStr for Enumeration {
-    type Err = ParseEnumerationError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "spatial" => Ok(Enumeration::Spatial),
-            "all-pairs" | "allpairs" | "oracle" => Ok(Enumeration::AllPairs),
-            _ => Err(ParseEnumerationError(s.to_owned())),
-        }
-    }
-}
-
-impl std::fmt::Display for Enumeration {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Enumeration::Spatial => write!(f, "spatial"),
-            Enumeration::AllPairs => write!(f, "all-pairs"),
-        }
-    }
-}
-
-/// Training-time execution options.
-///
-/// These knobs change how a model is *computed*, never what it computes:
-/// every [`TreeBackend`] grows bit-identical ensembles (proven by the
-/// parity suites), so none of this belongs in [`AttackConfig`] and nothing
-/// here is serialized into artifacts — the artifact wire format and
-/// checksums are untouched by the choice.
+/// The default is the shipping trainer. Every [`TreeBackend`] grows
+/// bit-identical ensembles (proven by `tests/train_parity.rs`), so none of
+/// this belongs in [`AttackConfig`] and nothing here is serialized into
+/// artifacts.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrainOptions {
     /// Split-finding implementation used to grow each tree (binned
-    /// histogram kernel by default; `reference` is the oracle scan).
+    /// histogram kernel by default; `Reference` is the oracle scan).
     pub backend: TreeBackend,
 }
 
@@ -312,12 +214,13 @@ impl TrainedAttack {
         Self::train_opt(config, training_views, vpin_filter, TrainOptions::default())
     }
 
-    /// [`TrainedAttack::train`] with explicit [`TrainOptions`]. The options
-    /// never change the resulting model, only how fast it is computed.
+    /// [`TrainedAttack::train`] with an explicit training oracle selector
+    /// (parity suites only). The options never change the resulting model.
     ///
     /// # Errors
     ///
     /// Same contract as [`TrainedAttack::train`].
+    #[doc(hidden)]
     pub fn train_opt(
         config: &AttackConfig,
         training_views: &[&SplitView],
@@ -331,8 +234,8 @@ impl TrainedAttack {
     /// Resolves the neighborhood radius and extracts the training sample
     /// set — everything [`TrainedAttack::train`] does before ensemble
     /// fitting. Exposed so benchmarks can time sample extraction and
-    /// fitting as separate stages; `train_opt` is exactly
-    /// `prepare_samples` followed by [`TrainedAttack::from_samples`].
+    /// fitting as separate stages; `train` is exactly `prepare_samples`
+    /// followed by [`TrainedAttack::from_samples`].
     ///
     /// # Errors
     ///
@@ -367,6 +270,8 @@ impl TrainedAttack {
     /// fold sample sets assembled from its per-design cache, which is
     /// bit-identical to regeneration because each design's sample stream is
     /// seeded by name (see [`crate::samples::view_sample_seed`]).
+    /// `options` selects the training oracle; pass
+    /// `TrainOptions::default()` for the shipping trainer.
     ///
     /// # Errors
     ///
@@ -460,9 +365,46 @@ impl TrainedAttack {
     /// `options` controls which v-pins are scored and how many candidates
     /// are retained; see [`ScoreOptions`].
     pub fn score(&self, view: &SplitView, options: &ScoreOptions) -> ScoredView {
-        let candidates = CandidateSource::Config;
-        score_with(self, view, options, &candidates)
+        score_with(self, view, options, CandidateSource::Config)
     }
+
+    /// Scores `view` through the reference implementations `oracle`
+    /// selects, for the parity suites and benches. Every selection yields
+    /// a [`ScoredView`] bit-identical to [`TrainedAttack::score`];
+    /// `Oracle::default()` *is* the shipping path.
+    #[doc(hidden)]
+    pub fn score_oracle(
+        &self,
+        view: &SplitView,
+        options: &ScoreOptions,
+        oracle: Oracle,
+    ) -> ScoredView {
+        let source = if oracle.all_pairs {
+            CandidateSource::AllPairs
+        } else {
+            CandidateSource::Config
+        };
+        if oracle.per_pair {
+            score_per_pair(self, view, options, &source)
+        } else {
+            score_with(self, view, options, source)
+        }
+    }
+}
+
+/// Reference implementations of the scoring stage, kept as test oracles
+/// for the parity suites and benches. Either or both may be selected.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Oracle {
+    /// Score pair by pair with [`FeatureSet::compute_into`] +
+    /// [`Bagging::proba`], on one thread (ignores
+    /// [`ScoreOptions::parallelism`]), instead of the batched
+    /// [`PairKernel`] + [`CompiledEnsemble`] path.
+    pub per_pair: bool,
+    /// Enumerate each target's candidates by scanning all n v-pins with a
+    /// distance/track filter instead of [`VpinIndex`] queries.
+    pub all_pairs: bool,
 }
 
 /// Options for the scoring stage.
@@ -486,13 +428,6 @@ pub struct ScoreOptions {
     /// Worker threads for pair scoring. The scored result is bit-identical
     /// across settings; only wall-clock changes.
     pub parallelism: Parallelism,
-    /// Scoring implementation; results are bit-identical, wall-clock is
-    /// not (the compiled kernel is the fast default).
-    pub kernel: Kernel,
-    /// Candidate enumeration strategy; results are bit-identical, time and
-    /// memory are not (spatial queries are the streaming default, the
-    /// all-pairs scan is the oracle).
-    pub enumeration: Enumeration,
 }
 
 impl Default for ScoreOptions {
@@ -502,16 +437,35 @@ impl Default for ScoreOptions {
             top_floor: DEFAULT_TOP_FLOOR,
             targets: None,
             parallelism: Parallelism::Auto,
-            kernel: Kernel::Compiled,
-            enumeration: Enumeration::Spatial,
         }
     }
 }
 
-/// Internal candidate enumeration strategy.
+impl ScoreOptions {
+    /// The scored targets: [`Self::targets`], or every v-pin of `view`.
+    pub(crate) fn targets_of(&self, view: &SplitView) -> Vec<u32> {
+        match &self.targets {
+            Some(t) => t.clone(),
+            None => (0..view.num_vpins() as u32).collect(),
+        }
+    }
+
+    /// Retained candidates per target. Sized from the *view's* v-pin
+    /// count, never from the target list, so scoring a target range
+    /// retains exactly what scoring the whole view would.
+    fn top_k(&self, view: &SplitView) -> usize {
+        ((self.top_fraction * view.num_vpins() as f64).ceil() as usize).max(self.top_floor)
+    }
+}
+
+/// Where a target's candidates come from.
 pub(crate) enum CandidateSource<'a> {
-    /// Derive from the trained configuration (neighborhood and/or Y-limit).
+    /// Derive from the trained configuration (neighborhood and/or
+    /// Y-limit) through [`VpinIndex`] radius / same-track queries.
     Config,
+    /// The same candidate set as `Config`, found by scanning all n v-pins
+    /// per target — the oracle the spatial queries are checked against.
+    AllPairs,
     /// Explicit per-target candidate lists (two-level pruning's Level-2
     /// stage). Must be indexed like the score targets.
     Explicit(&'a [Vec<u32>]),
@@ -557,6 +511,30 @@ pub struct ScoredView {
     pub pairs_scored: u64,
 }
 
+impl ScoredView {
+    /// A scoring of no targets yet over a view of `num_view_vpins` v-pins.
+    pub(crate) fn empty(num_view_vpins: usize) -> Self {
+        Self {
+            slots: Vec::new(),
+            hist: vec![0u64; HIST_BINS],
+            num_view_vpins,
+            pairs_scored: 0,
+        }
+    }
+
+    /// Appends the scoring of the targets that follow this one's: slots
+    /// concatenate in target order, histograms and pair counts add. Exact
+    /// `u64` sums, so any split of a target list into consecutive parts
+    /// appends back to the bytes of scoring it whole.
+    pub(crate) fn append(&mut self, part: ScoredView) {
+        self.slots.extend(part.slots);
+        for (acc, add) in self.hist.iter_mut().zip(&part.hist) {
+            *acc += add;
+        }
+        self.pairs_scored += part.pairs_scored;
+    }
+}
+
 /// Maps a probability to its histogram bin: floor-based edges, so bin `k`
 /// holds `k / HIST_BINS <= p < (k + 1) / HIST_BINS` (top bin closed).
 pub(crate) fn hist_bin(p: f64) -> usize {
@@ -578,243 +556,290 @@ pub(crate) fn first_bin(t: f64) -> usize {
     ((t * HIST_BINS as f64).ceil() as usize).min(HIST_BINS - 1)
 }
 
+/// Scores every target of `options` in one pass of a [`Scorer`].
 pub(crate) fn score_with(
+    attack: &TrainedAttack,
+    view: &SplitView,
+    options: &ScoreOptions,
+    source: CandidateSource<'_>,
+) -> ScoredView {
+    let targets = options.targets_of(view);
+    Scorer::new(attack, view, options, source).score(
+        &targets,
+        0..targets.len(),
+        options.parallelism,
+    )
+}
+
+/// The read-only tables of one scoring run: the spatial index, the SoA
+/// feature columns of the view and the flattened ensemble. Built once per
+/// run and shared by every target range scored through it — a whole
+/// view, two-level pruning's Level-2 pass, or the resumable driver's
+/// shards.
+pub(crate) struct Scorer<'a> {
+    attack: &'a TrainedAttack,
+    view: &'a SplitView,
+    source: CandidateSource<'a>,
+    index: Option<VpinIndex>,
+    kernel: PairKernel,
+    ensemble: CompiledEnsemble,
+    top_k: usize,
+}
+
+impl<'a> Scorer<'a> {
+    pub(crate) fn new(
+        attack: &'a TrainedAttack,
+        view: &'a SplitView,
+        options: &ScoreOptions,
+        source: CandidateSource<'a>,
+    ) -> Self {
+        Self {
+            attack,
+            view,
+            index: candidate_index(attack, view, &source),
+            source,
+            kernel: PairKernel::new(view.vpins(), &attack.config.features),
+            ensemble: attack.model.compile(),
+            top_k: options.top_k(view),
+        }
+    }
+
+    /// Scores `targets[slots]` into a partial [`ScoredView`]: those slots
+    /// in order, plus their histogram and pair-count contributions.
+    ///
+    /// The range is sharded into contiguous sub-ranges: each worker fills
+    /// its own part and the parts are merged in target order, so the
+    /// result is bit-identical for any parallelism setting — and
+    /// appending the parts of consecutive ranges reproduces scoring the
+    /// whole list at once.
+    pub(crate) fn score(
+        &self,
+        targets: &[u32],
+        slots: Range<usize>,
+        parallelism: Parallelism,
+    ) -> ScoredView {
+        let view = self.view;
+        let nf = self.kernel.num_features();
+        let drives = self.kernel.drives();
+        let parts = par_chunks(parallelism, slots.len(), |range| {
+            let mut part = ScoredView::empty(view.num_vpins());
+            let mut cands: Vec<u32> = Vec::new();
+            let mut legal: Vec<u32> = Vec::new();
+            let mut rows: Vec<f64> = Vec::with_capacity(SCORE_BATCH * nf);
+            let mut probs: Vec<f64> = Vec::with_capacity(SCORE_BATCH);
+            let first = slots.start + range.start;
+            for (slot_idx, &i) in (first..).zip(&targets[first..slots.start + range.end]) {
+                let iu = i as usize;
+                let truth = view.true_match(iu);
+                enumerate_candidates(
+                    self.attack,
+                    view,
+                    &self.source,
+                    self.index.as_ref(),
+                    slot_idx,
+                    i,
+                    &mut cands,
+                );
+                // Legality-filter the enumeration, then score SCORE_BATCH
+                // candidates per kernel call. Candidate order, histogram
+                // updates and top-list pushes follow the per-pair oracle's
+                // exact sequence.
+                legal.clear();
+                if drives[iu] {
+                    legal.extend(
+                        cands
+                            .iter()
+                            .copied()
+                            .filter(|&j| j != i && !drives[j as usize]),
+                    );
+                } else {
+                    legal.extend(cands.iter().copied().filter(|&j| j != i));
+                }
+                let mut slot = VpinScore {
+                    vpin: i,
+                    true_prob: None,
+                    top: Vec::new(),
+                };
+                let mut top: Vec<Cand> = Vec::with_capacity(self.top_k + 1);
+                for chunk in legal.chunks(SCORE_BATCH) {
+                    self.kernel.fill_batch(i, chunk, &mut rows);
+                    probs.clear();
+                    probs.resize(chunk.len(), 0.0);
+                    self.ensemble.proba_batch(&rows, nf, &mut probs);
+                    for (&j, &p) in chunk.iter().zip(&probs) {
+                        let ju = j as usize;
+                        part.pairs_scored += 1;
+                        part.hist[hist_bin(p)] += 1;
+                        if ju == truth {
+                            slot.true_prob = Some(p);
+                        }
+                        // `push_top` compares probability first, so a
+                        // candidate strictly below the retained minimum
+                        // can never enter the list and its distance is
+                        // never computed; only candidates at or above the
+                        // minimum pay for it.
+                        if top.len() < self.top_k || p >= top[0].p {
+                            push_top(
+                                &mut top,
+                                Cand {
+                                    p,
+                                    index: j,
+                                    dist: view.distance(iu, ju),
+                                },
+                                self.top_k,
+                            );
+                        }
+                    }
+                }
+                top.sort_by(|a, b| cand_cmp(b, a));
+                slot.top = top;
+                part.slots.push(slot);
+            }
+            part
+        });
+        let mut scored = ScoredView::empty(view.num_vpins());
+        for part in parts {
+            scored.append(part);
+        }
+        scored
+    }
+}
+
+/// The per-pair reference kernel: [`FeatureSet::compute_into`] +
+/// [`Bagging::proba`] for each legal candidate, one target after another
+/// on the calling thread. The bit-for-bit oracle of [`Scorer::score`].
+fn score_per_pair(
     attack: &TrainedAttack,
     view: &SplitView,
     options: &ScoreOptions,
     source: &CandidateSource<'_>,
 ) -> ScoredView {
-    let n = view.num_vpins();
-    let targets: Vec<u32> = match &options.targets {
-        Some(t) => t.clone(),
-        None => (0..n as u32).collect(),
-    };
-    let top_k = ((options.top_fraction * n as f64).ceil() as usize).max(options.top_floor);
-    let need_index = matches!(source, CandidateSource::Config)
-        && options.enumeration == Enumeration::Spatial
-        && (attack.radius.is_some() || attack.config.limit_diff_vpin_y);
-    let index = if need_index {
-        Some(match attack.radius {
-            Some(r) => VpinIndex::with_radius(view, r),
-            None => VpinIndex::new(view, 10_000),
-        })
-    } else {
-        None
-    };
-
-    // The compiled kernel's shared tables are built once per scoring call:
-    // the SoA feature columns of this view and the flattened ensemble.
-    // Both are read-only during the sharded loop.
-    let compiled = match options.kernel {
-        Kernel::Compiled => Some((
-            PairKernel::new(view.vpins(), &attack.config.features),
-            attack.model.compile(),
-        )),
-        Kernel::Reference => None,
-    };
-    let compiled = compiled.as_ref();
-
-    // Shard the targets into contiguous v-pin ranges: each worker fills its
-    // own slot list, feature buffer and local histogram, and the parts are
-    // merged in target order, so the result is bit-identical for any
-    // parallelism setting.
-    let index = index.as_ref();
-    let targets = &targets[..];
-    let parts = par_chunks(options.parallelism, targets.len(), |range| {
-        let mut local_hist = vec![0u64; HIST_BINS];
-        let mut local_pairs = 0u64;
-        let mut local_slots = Vec::with_capacity(range.len());
-        let nf = attack.config.features.len();
-        let mut buf = Vec::with_capacity(nf);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut legal: Vec<u32> = Vec::new();
-        let mut rows: Vec<f64> = Vec::with_capacity(SCORE_BATCH * nf);
-        let mut probs: Vec<f64> = Vec::with_capacity(SCORE_BATCH);
-        for slot_idx in range {
-            let i = targets[slot_idx];
-            let iu = i as usize;
-            let truth = view.true_match(iu);
-            enumerate_candidates(
-                attack,
-                view,
-                source,
-                index,
-                options.enumeration,
-                slot_idx,
-                i,
-                n,
-                &mut cands,
-            );
-            let mut slot = VpinScore {
-                vpin: i,
-                true_prob: None,
-                top: Vec::new(),
-            };
-            let mut top: Vec<Cand> = Vec::with_capacity(top_k + 1);
-            match compiled {
-                Some((kernel, ensemble)) => {
-                    // Batched fast path: legality-filter the enumeration,
-                    // then score SCORE_BATCH candidates per kernel call.
-                    // Candidate order, histogram updates and top-list
-                    // pushes follow the exact reference sequence.
-                    legal.clear();
-                    let drives = kernel.drives();
-                    if drives[iu] {
-                        legal.extend(
-                            cands
-                                .iter()
-                                .copied()
-                                .filter(|&j| j != i && !drives[j as usize]),
-                        );
-                    } else {
-                        legal.extend(cands.iter().copied().filter(|&j| j != i));
-                    }
-                    for chunk in legal.chunks(SCORE_BATCH) {
-                        kernel.fill_batch(i, chunk, &mut rows);
-                        probs.clear();
-                        probs.resize(chunk.len(), 0.0);
-                        ensemble.proba_batch(&rows, nf, &mut probs);
-                        for (&j, &p) in chunk.iter().zip(&probs) {
-                            let ju = j as usize;
-                            local_pairs += 1;
-                            local_hist[hist_bin(p)] += 1;
-                            if ju == truth {
-                                slot.true_prob = Some(p);
-                            }
-                            // `push_top` compares probability first, so a
-                            // candidate strictly below the retained minimum
-                            // can never enter the list and its distance is
-                            // never computed; only candidates at or above
-                            // the minimum pay for it.
-                            if top.len() < top_k || p >= top[0].p {
-                                push_top(
-                                    &mut top,
-                                    Cand {
-                                        p,
-                                        index: j,
-                                        dist: view.distance(iu, ju),
-                                    },
-                                    top_k,
-                                );
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for &j in &*cands {
-                        let ju = j as usize;
-                        if !view.is_legal_pair(iu, ju) {
-                            continue;
-                        }
-                        attack.config.features.compute_into(
-                            &view.vpins()[iu],
-                            &view.vpins()[ju],
-                            &mut buf,
-                        );
-                        let p = attack.model.proba(&buf);
-                        local_pairs += 1;
-                        local_hist[hist_bin(p)] += 1;
-                        if ju == truth {
-                            slot.true_prob = Some(p);
-                        }
-                        push_top(
-                            &mut top,
-                            Cand {
-                                p,
-                                index: j,
-                                dist: view.distance(iu, ju),
-                            },
-                            top_k,
-                        );
-                    }
-                }
+    let targets = options.targets_of(view);
+    let top_k = options.top_k(view);
+    let index = candidate_index(attack, view, source);
+    let mut scored = ScoredView::empty(view.num_vpins());
+    let mut buf = Vec::with_capacity(attack.config.features.len());
+    let mut cands: Vec<u32> = Vec::new();
+    for (slot_idx, &i) in targets.iter().enumerate() {
+        let iu = i as usize;
+        let truth = view.true_match(iu);
+        enumerate_candidates(
+            attack,
+            view,
+            source,
+            index.as_ref(),
+            slot_idx,
+            i,
+            &mut cands,
+        );
+        let mut slot = VpinScore {
+            vpin: i,
+            true_prob: None,
+            top: Vec::new(),
+        };
+        let mut top: Vec<Cand> = Vec::with_capacity(top_k + 1);
+        for &j in &cands {
+            let ju = j as usize;
+            if !view.is_legal_pair(iu, ju) {
+                continue;
             }
-            top.sort_by(|a, b| cand_cmp(b, a));
-            slot.top = top;
-            local_slots.push(slot);
+            attack
+                .config
+                .features
+                .compute_into(&view.vpins()[iu], &view.vpins()[ju], &mut buf);
+            let p = attack.model.proba(&buf);
+            scored.pairs_scored += 1;
+            scored.hist[hist_bin(p)] += 1;
+            if ju == truth {
+                slot.true_prob = Some(p);
+            }
+            push_top(
+                &mut top,
+                Cand {
+                    p,
+                    index: j,
+                    dist: view.distance(iu, ju),
+                },
+                top_k,
+            );
         }
-        (local_slots, local_hist, local_pairs)
-    });
-
-    let mut slots: Vec<VpinScore> = Vec::with_capacity(targets.len());
-    let mut hist = vec![0u64; HIST_BINS];
-    let mut pairs_scored = 0u64;
-    for (part_slots, part_hist, part_pairs) in parts {
-        slots.extend(part_slots);
-        for (h, ph) in hist.iter_mut().zip(part_hist) {
-            *h += ph;
-        }
-        pairs_scored += part_pairs;
+        top.sort_by(|a, b| cand_cmp(b, a));
+        slot.top = top;
+        scored.slots.push(slot);
     }
-
-    ScoredView {
-        slots,
-        hist,
-        num_view_vpins: n,
-        pairs_scored,
-    }
+    scored
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The spatial index `source` queries: only the configuration-derived
+/// source of a neighborhood- or Y-limited model needs one.
+fn candidate_index(
+    attack: &TrainedAttack,
+    view: &SplitView,
+    source: &CandidateSource<'_>,
+) -> Option<VpinIndex> {
+    let restricted = attack.radius.is_some() || attack.config.limit_diff_vpin_y;
+    if !matches!(source, CandidateSource::Config) || !restricted {
+        return None;
+    }
+    Some(match attack.radius {
+        Some(r) => VpinIndex::with_radius(view, r),
+        None => VpinIndex::new(view, 10_000),
+    })
+}
+
 fn enumerate_candidates(
     attack: &TrainedAttack,
     view: &SplitView,
     source: &CandidateSource<'_>,
     index: Option<&VpinIndex>,
-    enumeration: Enumeration,
     slot_idx: usize,
     i: u32,
-    n: usize,
     out: &mut Vec<u32>,
 ) {
+    let n = view.num_vpins();
+    let iu = i as usize;
+    let y_limited = attack.config.limit_diff_vpin_y;
+    out.clear();
     match source {
         CandidateSource::Explicit(lists) => {
-            out.clear();
             out.extend_from_slice(&lists[slot_idx]);
             out.retain(|&j| j != i);
         }
+        CandidateSource::Config | CandidateSource::AllPairs
+            if !y_limited && attack.radius.is_none() =>
+        {
+            // Unrestricted (`ML`) configuration: every other v-pin is a
+            // candidate whichever enumeration is selected.
+            out.extend((0..n as u32).filter(|&j| j != i));
+        }
         CandidateSource::Config => {
-            let iu = i as usize;
-            let y_limited = attack.config.limit_diff_vpin_y;
-            if !y_limited && attack.radius.is_none() {
-                // Unrestricted (`ML`) configuration: every other v-pin is
-                // a candidate whichever enumeration is selected.
-                out.clear();
-                out.extend((0..n as u32).filter(|&j| j != i));
-                return;
+            if y_limited {
+                let index = index.expect("index exists for Y-limited configs");
+                index.same_y(view.vpins()[iu].loc.y, i, out);
+                if let Some(r) = attack.radius {
+                    out.retain(|&j| view.distance(iu, j as usize) <= r);
+                }
+            } else {
+                let r = attack.radius.expect("radius exists on this path");
+                let index = index.expect("index exists for neighborhood configs");
+                index.within_radius_unordered(view, view.vpins()[iu].loc, r, i, out);
             }
-            match enumeration {
-                Enumeration::Spatial => {
-                    if y_limited {
-                        let index = index.expect("index exists for Y-limited configs");
-                        index.same_y(view.vpins()[iu].loc.y, i, out);
-                        if let Some(r) = attack.radius {
-                            out.retain(|&j| view.distance(iu, j as usize) <= r);
-                        }
-                    } else {
-                        let r = attack.radius.expect("radius exists on this path");
-                        let index = index.expect("index exists for neighborhood configs");
-                        index.within_radius_unordered(view, view.vpins()[iu].loc, r, i, out);
+        }
+        CandidateSource::AllPairs => {
+            let yi = view.vpins()[iu].loc.y;
+            for j in 0..n as u32 {
+                if j == i {
+                    continue;
+                }
+                if y_limited && view.vpins()[j as usize].loc.y != yi {
+                    continue;
+                }
+                if let Some(r) = attack.radius {
+                    if view.distance(iu, j as usize) > r {
+                        continue;
                     }
                 }
-                Enumeration::AllPairs => {
-                    out.clear();
-                    let yi = view.vpins()[iu].loc.y;
-                    for j in 0..n as u32 {
-                        if j == i {
-                            continue;
-                        }
-                        if y_limited && view.vpins()[j as usize].loc.y != yi {
-                            continue;
-                        }
-                        if let Some(r) = attack.radius {
-                            if view.distance(iu, j as usize) > r {
-                                continue;
-                            }
-                        }
-                        out.push(j);
-                    }
-                }
+                out.push(j);
             }
         }
     }
@@ -1028,21 +1053,16 @@ mod tests {
         let (train, test) = leave_one_out(&views, 0);
         for cfg in [AttackConfig::imp9(), AttackConfig::ml9()] {
             let model = TrainedAttack::train(&cfg, &train, None).expect("train");
-            let compiled = model.score(
+            let shipped = model.score(test, &ScoreOptions::default());
+            let per_pair = model.score_oracle(
                 test,
-                &ScoreOptions {
-                    kernel: Kernel::Compiled,
-                    ..ScoreOptions::default()
+                &ScoreOptions::default(),
+                Oracle {
+                    per_pair: true,
+                    ..Oracle::default()
                 },
             );
-            let reference = model.score(
-                test,
-                &ScoreOptions {
-                    kernel: Kernel::Reference,
-                    ..ScoreOptions::default()
-                },
-            );
-            assert_eq!(compiled, reference, "{}", cfg.name);
+            assert_eq!(shipped, per_pair, "{}", cfg.name);
         }
     }
 
@@ -1057,26 +1077,15 @@ mod tests {
             let (train, test) = leave_one_out(&views, 0);
             let model = TrainedAttack::train(&cfg, &train, None).expect("train");
             let spatial = model.score(test, &ScoreOptions::default());
-            let oracle = model.score(
+            let oracle = model.score_oracle(
                 test,
-                &ScoreOptions {
-                    enumeration: Enumeration::AllPairs,
-                    ..ScoreOptions::default()
+                &ScoreOptions::default(),
+                Oracle {
+                    all_pairs: true,
+                    ..Oracle::default()
                 },
             );
             assert_eq!(spatial, oracle, "{}", cfg.name);
-        }
-    }
-
-    #[test]
-    fn enumeration_parses_and_displays() {
-        assert_eq!("spatial".parse(), Ok(Enumeration::Spatial));
-        assert_eq!("ALL-PAIRS".parse(), Ok(Enumeration::AllPairs));
-        assert_eq!("oracle".parse(), Ok(Enumeration::AllPairs));
-        assert_eq!(Enumeration::default(), Enumeration::Spatial);
-        assert!("grid".parse::<Enumeration>().is_err());
-        for e in [Enumeration::Spatial, Enumeration::AllPairs] {
-            assert_eq!(e.to_string().parse(), Ok(e));
         }
     }
 
@@ -1102,17 +1111,6 @@ mod tests {
             top.sort_by(|a, b| cand_cmp(b, a));
             let kept: Vec<u32> = top.iter().map(|c| c.index).collect();
             assert_eq!(kept, vec![1, 3]);
-        }
-    }
-
-    #[test]
-    fn kernel_parses_and_displays() {
-        assert_eq!("compiled".parse(), Ok(Kernel::Compiled));
-        assert_eq!("REF".parse(), Ok(Kernel::Reference));
-        assert_eq!(Kernel::default(), Kernel::Compiled);
-        assert!("fast".parse::<Kernel>().is_err());
-        for k in [Kernel::Compiled, Kernel::Reference] {
-            assert_eq!(k.to_string().parse(), Ok(k));
         }
     }
 

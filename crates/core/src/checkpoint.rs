@@ -20,25 +20,25 @@
 //! ## Resume is bit-identical
 //!
 //! [`score_resumable`] cuts the target list into deterministic shards
-//! ([`sm_ml::parallel::shard_ranges`]) and scores each with
-//! `ScoreOptions { targets: Some(shard) }`. Per-target work depends only
-//! on the model, the view and `top_k` — and `top_k` is computed from the
-//! *view's* v-pin count, never from the target list — so concatenating
-//! per-shard slots in target order, adding the per-shard `u64` histograms
-//! and summing the pair counts reproduces a whole-view scoring call bit
-//! for bit. This is exactly the in-order-merge discipline
-//! `sm_ml::parallel::par_chunks` already applies *within* one call,
-//! lifted to a boundary that can be persisted: the state at a shard
-//! boundary is a pure function of which shards completed, so a process
-//! killed anywhere and resumed from its last checkpoint converges to the
-//! same bytes as an uninterrupted run (proven by the `chaos_attack`
-//! suite and the parity tests in `tests/checkpoint_resume.rs`).
+//! ([`sm_ml::parallel::shard_ranges`]) and scores each through one set of
+//! scoring tables (index, feature kernel, compiled ensemble) built once
+//! per run. Per-target work depends only on the model, the view and
+//! `top_k` — and `top_k` is computed from the *view's* v-pin count, never
+//! from the target list — so concatenating per-shard slots in target
+//! order, adding the per-shard `u64` histograms and summing the pair
+//! counts reproduces a whole-view scoring call bit for bit. This is
+//! exactly the in-order-merge discipline `sm_ml::parallel::par_chunks`
+//! already applies *within* one shard, lifted to a boundary that can be
+//! persisted: the state at a shard boundary is a pure function of which
+//! shards completed, so a process killed anywhere and resumed from its
+//! last checkpoint converges to the same bytes as an uninterrupted run
+//! (proven by the `chaos_attack` suite and the parity tests in
+//! `tests/checkpoint_resume.rs`).
 //!
 //! Because the fingerprint covers only result-affecting inputs, a resume
-//! may legally change `--threads`, `--kernel`, `--enumeration` and
-//! `--checkpoint-every` — all proven bit-identical knobs — while a
-//! different config, model, view or top-K shape is a typed
-//! [`CheckpointError::Mismatch`] refusal.
+//! may legally change `--threads` and `--checkpoint-every` — both proven
+//! bit-identical knobs — while a different config, model, view or top-K
+//! shape is a typed [`CheckpointError::Mismatch`] refusal.
 //!
 //! ## Version-bump policy
 //!
@@ -56,7 +56,9 @@ use serde::{Deserialize, Serialize};
 use sm_layout::SplitView;
 use sm_ml::parallel::shard_ranges;
 
-use crate::attack::{ScoreOptions, ScoredView, TrainedAttack, VpinScore, HIST_BINS};
+use crate::attack::{
+    CandidateSource, ScoreOptions, ScoredView, Scorer, TrainedAttack, VpinScore, HIST_BINS,
+};
 use crate::durable::{atomic_write, fnv1a64};
 use crate::error::AttackError;
 use crate::loc::LocCurveBuilder;
@@ -195,8 +197,8 @@ impl ViewId {
 
 /// What a checkpoint's state is a function of: everything that affects
 /// the *bytes* of the final result. Deliberately excluded — and therefore
-/// free to change across a resume — are parallelism, kernel, enumeration
-/// and the shard size, all proven bit-identical knobs.
+/// free to change across a resume — are parallelism and the shard size,
+/// both proven bit-identical knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fingerprint {
     /// Run kind: `"attack"`, `"pa"`, or `"xval"` — resuming an attack
@@ -545,10 +547,14 @@ pub enum Resume {
 /// [`CheckpointSpec::every`] targets and stopping cleanly at the next
 /// shard boundary once `should_stop` returns true.
 ///
-/// The result is bit-identical to an uninterrupted
-/// `model.score(view, options)` call, for any interleaving of kills and
-/// resumes and any `every` (see the module docs for the argument and
-/// `tests/checkpoint_resume.rs` for the proof).
+/// `kind` names the run (`"attack"` / `"pa"`) in the [`Fingerprint`], so
+/// a proximity-attack checkpoint can never resume a plain attack run.
+///
+/// The index, feature kernel and compiled ensemble are built once per
+/// call and shared by every shard. The result is bit-identical to an
+/// uninterrupted `model.score(view, options)` call, for any interleaving
+/// of kills and resumes and any `every` (see the module docs for the
+/// argument and `tests/checkpoint_resume.rs` for the proof).
 ///
 /// # Errors
 ///
@@ -558,21 +564,8 @@ pub enum Resume {
 /// checkpoint file is present. `options.targets` must be `None` — the
 /// driver owns the target cursor — otherwise
 /// [`CheckpointError::Unsupported`].
-pub fn score_resumable(
-    model: &TrainedAttack,
-    view: &SplitView,
-    options: &ScoreOptions,
-    spec: &CheckpointSpec,
-    resume: Resume,
-    should_stop: &dyn Fn() -> bool,
-) -> Result<ScoreOutcome, CheckpointError> {
-    score_resumable_as("attack", model, view, options, spec, resume, should_stop)
-}
-
-/// [`score_resumable`] with an explicit run kind (`"attack"` / `"pa"`),
-/// so a proximity-attack checkpoint can never resume a plain attack run.
 #[allow(clippy::too_many_arguments)]
-pub fn score_resumable_as(
+pub fn score_resumable(
     kind: &str,
     model: &TrainedAttack,
     view: &SplitView,
@@ -588,61 +581,52 @@ pub fn score_resumable_as(
     }
     let fingerprint = Fingerprint::for_scoring(kind, model, view, options);
     let n = view.num_vpins();
-    let mut state = match (resume, spec.path.exists()) {
+    let (mut targets_done, mut scored) = match (resume, spec.path.exists()) {
         (Resume::Fresh, true) => return Err(CheckpointError::Exists(spec.path.clone())),
-        (_, false) => ScoringState {
-            targets_done: 0,
-            slots: Vec::new(),
-            hist: vec![0u64; HIST_BINS],
-            pairs_scored: 0,
-            num_view_vpins: n,
-        },
+        (_, false) => (0, ScoredView::empty(n)),
         (Resume::IfPresent, true) => {
             let checkpoint = Checkpoint::load(&spec.path)?;
             fingerprint.verify(&checkpoint.fingerprint)?;
-            match checkpoint.state {
-                RunState::Scoring(s) => s,
-                RunState::Xval(_) => {
-                    return Err(CheckpointError::Mismatch {
-                        field: "state kind",
-                        expected: "scoring".into(),
-                        found: "xval".into(),
-                    })
-                }
-            }
+            let RunState::Scoring(s) = checkpoint.state else {
+                return Err(CheckpointError::Mismatch {
+                    field: "state kind",
+                    expected: "scoring".into(),
+                    found: "xval".into(),
+                });
+            };
+            let scored = ScoredView {
+                slots: s.slots,
+                hist: s.hist,
+                num_view_vpins: s.num_view_vpins,
+                pairs_scored: s.pairs_scored,
+            };
+            (s.targets_done, scored)
         }
     };
+    let targets = options.targets_of(view);
+    let scorer = Scorer::new(model, view, options, CandidateSource::Config);
     for range in shard_ranges(n, spec.every) {
-        if range.end <= state.targets_done {
+        if range.end <= targets_done {
             continue; // shard fully completed before the interruption
         }
         // A resume with a different `every` may land mid-shard; realign
         // the shard start to the persisted cursor.
-        let start = state.targets_done;
-        let targets: Vec<u32> = (start as u32..range.end as u32).collect();
-        if !targets.is_empty() {
-            let part = model.score(
-                view,
-                &ScoreOptions {
-                    targets: Some(targets),
-                    ..options.clone()
-                },
-            );
-            state.targets_done = range.end;
-            state.slots.extend(part.slots);
-            for (acc, add) in state.hist.iter_mut().zip(&part.hist) {
-                *acc += add;
-            }
-            state.pairs_scored += part.pairs_scored;
-        }
+        scored.append(scorer.score(&targets, targets_done..range.end, options.parallelism));
+        targets_done = range.end;
         Checkpoint {
             fingerprint: fingerprint.clone(),
-            state: RunState::Scoring(state.clone()),
+            state: RunState::Scoring(ScoringState {
+                targets_done,
+                slots: scored.slots.clone(),
+                hist: scored.hist.clone(),
+                pairs_scored: scored.pairs_scored,
+                num_view_vpins: scored.num_view_vpins,
+            }),
         }
         .save(&spec.path)?;
-        if state.targets_done < n && should_stop() {
+        if targets_done < n && should_stop() {
             return Ok(ScoreOutcome::Interrupted {
-                targets_done: state.targets_done,
+                targets_done,
                 num_targets: n,
             });
         }
@@ -652,10 +636,5 @@ pub fn score_resumable_as(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(CheckpointError::Io(e)),
     }
-    Ok(ScoreOutcome::Complete(ScoredView {
-        slots: state.slots,
-        hist: state.hist,
-        num_view_vpins: state.num_view_vpins,
-        pairs_scored: state.pairs_scored,
-    }))
+    Ok(ScoreOutcome::Complete(scored))
 }

@@ -58,9 +58,10 @@ pub mod samples;
 pub mod two_level;
 pub mod xval;
 
+#[doc(hidden)]
+pub use attack::TrainOptions;
 pub use attack::{
-    AttackConfig, BaseClassifier, Enumeration, Kernel, ScoreOptions, ScoredView, TrainOptions,
-    TrainedAttack, TrainedParts,
+    AttackConfig, BaseClassifier, ScoreOptions, ScoredView, TrainedAttack, TrainedParts,
 };
 pub use checkpoint::{
     score_resumable, Checkpoint, CheckpointError, CheckpointSpec, Fingerprint, Resume, ScoreOutcome,
@@ -69,7 +70,7 @@ pub use error::AttackError;
 pub use features::{FeatureSet, PairFeature, PairKernel, ALL_FEATURES};
 pub use loc::{CurvePoint, LocCurve, LocCurveBuilder};
 pub use matching::{greedy_matching, mutual_best, MatchingOutcome};
-pub use proximity::{
-    proximity_attack, validate_pa_fraction, validate_pa_fraction_opt, PaOutcome, PaValidation,
-};
-pub use sm_ml::{Parallelism, TreeBackend};
+pub use proximity::{proximity_attack, validate_pa_fraction, PaOutcome, PaValidation};
+pub use sm_ml::Parallelism;
+#[doc(hidden)]
+pub use sm_ml::TreeBackend;

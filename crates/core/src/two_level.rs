@@ -144,9 +144,8 @@ pub fn two_level_attack(
         })
         .collect();
     let targets: Vec<u32> = scored1.slots.iter().map(|s| s.vpin).collect();
-    // The Level-2 pass scores explicit per-target lists, so the
-    // `enumeration` option is moot here: `CandidateSource::Explicit`
-    // bypasses candidate enumeration entirely.
+    // The Level-2 pass scores explicit per-target lists:
+    // `CandidateSource::Explicit` bypasses candidate enumeration entirely.
     let opts2 = ScoreOptions {
         targets: Some(targets),
         ..score_options.clone()
@@ -155,7 +154,7 @@ pub fn two_level_attack(
         &level2_attack,
         test_view,
         &opts2,
-        &CandidateSource::Explicit(&lists),
+        CandidateSource::Explicit(&lists),
     );
 
     Ok(TwoLevelOutcome {

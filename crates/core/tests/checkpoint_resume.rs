@@ -12,11 +12,8 @@
 //! 3. a corrupt, truncated, or foreign checkpoint is a typed refusal,
 //!    never a partial resume.
 
-use sm_attack::attack::{AttackConfig, ScoreOptions, TrainOptions, TrainedAttack};
-use sm_attack::checkpoint::{
-    score_resumable, score_resumable_as, Checkpoint, CheckpointError, CheckpointSpec, Resume,
-    ScoreOutcome,
-};
+use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
+use sm_attack::checkpoint::{Checkpoint, CheckpointError, CheckpointSpec, Resume, ScoreOutcome};
 use sm_attack::xval::{for_each_fold, for_each_fold_resumable, XvalOutcome};
 use sm_attack::{LocCurveBuilder, Parallelism};
 use sm_layout::{SplitLayer, SplitView, Suite};
@@ -34,7 +31,27 @@ fn train(config: &AttackConfig, views: &[SplitView], target: usize) -> TrainedAt
         .filter(|(i, _)| *i != target)
         .map(|(_, v)| v)
         .collect();
-    TrainedAttack::train_opt(config, &train, None, TrainOptions::default()).expect("trains")
+    TrainedAttack::train(config, &train, None).expect("trains")
+}
+
+/// The resumable driver as the `attack` command runs it.
+fn score_resumable(
+    model: &TrainedAttack,
+    view: &SplitView,
+    options: &ScoreOptions,
+    spec: &CheckpointSpec,
+    resume: Resume,
+    should_stop: &dyn Fn() -> bool,
+) -> Result<ScoreOutcome, CheckpointError> {
+    sm_attack::checkpoint::score_resumable(
+        "attack",
+        model,
+        view,
+        options,
+        spec,
+        resume,
+        should_stop,
+    )
 }
 
 fn temp_spec(tag: &str, every: usize) -> CheckpointSpec {
@@ -250,7 +267,7 @@ fn mismatched_runs_are_typed_refusals_naming_the_field() {
     .expect_err("different top_floor must refuse");
     assert_eq!(mismatch_field(err), "top_floor");
     // Different run kind: a pa checkpoint cannot resume an attack run.
-    let err = score_resumable_as(
+    let err = sm_attack::checkpoint::score_resumable(
         "pa",
         &imp9,
         &views[0],
@@ -371,7 +388,7 @@ fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
     // Reference: the plain streaming driver folded into a curve builder.
     let mut reference = LocCurveBuilder::new();
     let mut reference_names = Vec::new();
-    for_each_fold(&config, &views, &opts, TrainOptions::default(), |fold| {
+    for_each_fold(&config, &views, &opts, |fold| {
         reference.add_view(&fold.scored);
         reference_names.push(fold.test_name.clone());
     })
@@ -384,7 +401,6 @@ fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
         &config,
         &views,
         &opts,
-        TrainOptions::default(),
         &spec,
         Resume::Fresh,
         &|| false,
@@ -413,16 +429,9 @@ fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
         } else {
             Resume::IfPresent
         };
-        match for_each_fold_resumable(
-            &config,
-            &views,
-            &opts,
-            TrainOptions::default(),
-            &spec,
-            resume,
-            &|| true,
-            |fold| visited.push(fold.test_name.clone()),
-        )
+        match for_each_fold_resumable(&config, &views, &opts, &spec, resume, &|| true, |fold| {
+            visited.push(fold.test_name.clone())
+        })
         .expect("leg runs")
         {
             XvalOutcome::Complete { curve, .. } => break curve,

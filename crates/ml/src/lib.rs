@@ -50,4 +50,4 @@ pub use knn::KNearest;
 pub use learners::{RandomTreeLearner, RepTreeLearner, TreeLearner};
 pub use linear::{LogisticParams, LogisticRegression};
 pub use parallel::{par_chunks, par_map, Parallelism, MAX_THREADS};
-pub use tree::{ParseTreeBackendError, Tree, TreeBackend, TreeParams};
+pub use tree::{Tree, TreeBackend, TreeParams};

@@ -29,9 +29,9 @@ const LEAF: i32 = -1;
 /// operand order as the reference scan — it only replaces the per-node
 /// binary search with a direct `u16` bin-code lookup and derives the larger
 /// sibling's histogram by parent-minus-smaller-child subtraction. The
-/// reference path is the seed implementation kept verbatim as the oracle
-/// for the parity suites, mirroring the scoring side's
-/// `Kernel::{Compiled, Reference}` convention.
+/// reference path is the original scan kept verbatim as the oracle
+/// for the parity suites (`tests/train_parity.rs`, the ml proptests and
+/// `bench_train`'s gate); it is not a user-facing switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TreeBackend {
     /// Histogram kernel over pre-binned `u16` codes (default).
@@ -39,43 +39,6 @@ pub enum TreeBackend {
     Binned,
     /// The original per-node binary-search scan, kept as the oracle.
     Reference,
-}
-
-/// Error for unrecognized [`TreeBackend`] names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTreeBackendError(String);
-
-impl std::fmt::Display for ParseTreeBackendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown tree backend `{}` (expected `binned` or `reference`)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseTreeBackendError {}
-
-impl std::str::FromStr for TreeBackend {
-    type Err = ParseTreeBackendError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "binned" => Ok(TreeBackend::Binned),
-            "reference" | "ref" => Ok(TreeBackend::Reference),
-            other => Err(ParseTreeBackendError(other.to_string())),
-        }
-    }
-}
-
-impl std::fmt::Display for TreeBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TreeBackend::Binned => "binned",
-            TreeBackend::Reference => "reference",
-        })
-    }
 }
 
 /// Growth parameters.

@@ -651,9 +651,12 @@ pub struct BenchReport {
     /// the pre- and post-run `Stats` probes. `0` when the probes failed
     /// or no coalescible scoring happened.
     pub mean_batch_fill: f64,
-    /// The server's own counters sampled right after the run (shed /
-    /// timed-out / failed connections are visible here), when the final
-    /// `Stats` probe succeeded.
+    /// The server's counters *over this run* (shed / timed-out / failed
+    /// connections are visible here): post-run minus pre-run `Stats`
+    /// samples, so back-to-back runs against one server each count only
+    /// their own traffic. Identity fields, `event_loops`, the latency
+    /// percentiles and the shadow report are the post-run sample's
+    /// server-wide values. `None` when either probe failed.
     pub server_stats: Option<StatsSnapshot>,
 }
 
@@ -712,7 +715,7 @@ impl std::fmt::Display for BenchReport {
 /// workload (synthetic `ScorePairs` batches by default, whole-challenge
 /// `Attack`s via [`BenchConfig::attack`]), lockstep or pipelined, and
 /// reports throughput, latency percentiles, retries, and the server's
-/// post-run counters.
+/// counters over the run.
 ///
 /// # Errors
 ///
@@ -755,8 +758,8 @@ pub fn bench(addr: &str, config: &BenchConfig) -> Result<BenchReport, ClientErro
         },
     };
     // A pre-run Stats sample turns the post-run counters into *this
-    // run's* deltas (batch fill would otherwise smear across runs
-    // against a long-lived server). Best-effort like the post-run probe.
+    // run's* deltas (they would otherwise accumulate across runs against
+    // a long-lived server). Best-effort like the post-run probe.
     let pre_stats = match probe.call_ok(&Request::Stats) {
         Ok(Response::Stats { stats }) => Some(stats),
         _ => None,
@@ -788,22 +791,18 @@ pub fn bench(addr: &str, config: &BenchConfig) -> Result<BenchReport, ClientErro
     }
     latencies.sort_unstable();
     let total_requests = latencies.len() as u64;
-    let server_stats = match Client::connect_with(addr, config.timeouts)
+    let post_stats = match Client::connect_with(addr, config.timeouts)
         .and_then(|mut c| c.call_ok(&Request::Stats))
     {
         Ok(Response::Stats { stats }) => Some(stats),
         _ => None,
     };
-    let mean_batch_fill = match (&pre_stats, &server_stats) {
-        (Some(pre), Some(post)) => {
-            let calls = post.score_batches.saturating_sub(pre.score_batches);
-            let rows = post.batched_rows.saturating_sub(pre.batched_rows);
-            if calls == 0 {
-                0.0
-            } else {
-                rows as f64 / calls as f64
-            }
-        }
+    let server_stats = match (&pre_stats, post_stats) {
+        (Some(pre), Some(post)) => Some(run_delta(pre, post)),
+        _ => None,
+    };
+    let mean_batch_fill = match &server_stats {
+        Some(run) if run.score_batches > 0 => run.batched_rows as f64 / run.score_batches as f64,
         _ => 0.0,
     };
     let mut workload = if config.attack.is_some() {
@@ -834,6 +833,27 @@ pub fn bench(addr: &str, config: &BenchConfig) -> Result<BenchReport, ClientErro
         mean_batch_fill,
         server_stats,
     })
+}
+
+/// The counters of `post` minus those of `pre`: one run's traffic. A
+/// `Stats` reply samples the counters *before* booking its own request,
+/// so the pre-run probe itself lands in the difference and is taken back
+/// out of `requests`.
+fn run_delta(pre: &StatsSnapshot, post: StatsSnapshot) -> StatsSnapshot {
+    let d = |post: u64, pre: u64| post.saturating_sub(pre);
+    StatsSnapshot {
+        reloads: d(post.reloads, pre.reloads),
+        requests: d(post.requests, pre.requests).saturating_sub(1),
+        errors: d(post.errors, pre.errors),
+        io_errors: d(post.io_errors, pre.io_errors),
+        shed: d(post.shed, pre.shed),
+        timeouts: d(post.timeouts, pre.timeouts),
+        pairs_scored: d(post.pairs_scored, pre.pairs_scored),
+        score_batches: d(post.score_batches, pre.score_batches),
+        batched_rows: d(post.batched_rows, pre.batched_rows),
+        batched_requests: d(post.batched_requests, pre.batched_requests),
+        ..post
+    }
 }
 
 /// What one bench connection produced: per-request latencies for the

@@ -538,9 +538,9 @@ pub struct ModelEntry {
     pub schema_version: u32,
     /// Training provenance from the artifact.
     pub meta: TrainMeta,
-    /// The live model (reference scoring path, attack entry points).
+    /// The live model (attack entry points, artifact identity).
     pub model: TrainedAttack,
-    /// The ensemble lowered once at load time (compiled scoring path).
+    /// The ensemble lowered once at load time (`ScorePairs` scoring).
     pub compiled: CompiledEnsemble,
 }
 

@@ -374,7 +374,9 @@ fn dense_and_json_framed_binary_attacks_match_ndjson_bit_for_bit() {
     };
     let a = ndjson.call_ok(&attack_req).expect("ndjson attack");
     let b = dense.call_ok(&attack_req).expect("dense attack");
-    let c = json_framed.call_ok(&attack_req).expect("json-framed attack");
+    let c = json_framed
+        .call_ok(&attack_req)
+        .expect("json-framed attack");
     assert_eq!(a, b, "dense binary attack must equal ndjson");
     assert_eq!(b, c, "json-framed binary attack must equal dense");
     match b {
@@ -468,6 +470,47 @@ fn auto_pool_survives_a_held_open_idle_connection() {
         other => panic!("unexpected health reply: {other:?}"),
     }
     drop(idle);
+    match client.call_ok(&Request::Shutdown).expect("shutdown") {
+        Response::ShuttingDown => {}
+        other => panic!("unexpected shutdown reply: {other:?}"),
+    }
+    handle.join().expect("clean exit");
+}
+
+#[test]
+fn back_to_back_bench_runs_each_report_only_their_own_server_counters() {
+    // Two runs against one long-lived server: each report's server-side
+    // counters must cover that run alone, not the session so far.
+    let (model, _) = trained_and_test_view();
+    let handle = ServerHandle::bind(model, "127.0.0.1:0", test_options()).expect("binds");
+    let addr = handle.addr().to_string();
+    for (run, requests_per_connection) in [(1, 3usize), (2, 5)] {
+        let report = bench(
+            &addr,
+            &BenchConfig {
+                connections: 2,
+                requests_per_connection,
+                batch_size: 8,
+                seed: run,
+                ..BenchConfig::default()
+            },
+        )
+        .expect("bench run");
+        assert_eq!(report.total_requests, 2 * requests_per_connection as u64);
+        assert_eq!(report.errors, 0);
+        let stats = report.server_stats.expect("pre- and post-run stats probes");
+        assert_eq!(
+            stats.requests, report.total_requests,
+            "run {run}: {stats:?}"
+        );
+        assert_eq!(
+            stats.pairs_scored, report.total_pairs,
+            "run {run}: {stats:?}"
+        );
+        assert_eq!(stats.errors, 0, "run {run}: {stats:?}");
+        assert_eq!(stats.shed, 0, "run {run}: {stats:?}");
+    }
+    let mut client = Client::connect(handle.addr()).expect("connects");
     match client.call_ok(&Request::Shutdown).expect("shutdown") {
         Response::ShuttingDown => {}
         other => panic!("unexpected shutdown reply: {other:?}"),

@@ -1,13 +1,13 @@
 //! The spatial streaming enumeration must be invisible in results: for
-//! every benchmark and split layer, a full attack run with
-//! `Enumeration::Spatial` (grid radius / same-track queries, unordered
-//! traversal, bulk cell appends) produces exactly the `ScoredView` of the
-//! `Enumeration::AllPairs` oracle scan — LoC histogram, slot
+//! every benchmark and split layer, a full attack run through the
+//! shipping path (grid radius / same-track queries, unordered traversal,
+//! bulk cell appends) produces exactly the `ScoredView` of the all-pairs
+//! oracle scan (`Oracle::all_pairs`) — LoC histogram, slot
 //! probabilities, and derived curve, bit for bit. This is the tentpole
 //! guarantee that makes paper-scale (`SM_SCALE >= 10`) attacks trustworthy
 //! without ever running the quadratic oracle there.
 
-use splitmfg::attack::attack::{AttackConfig, Enumeration, Kernel, ScoreOptions, TrainedAttack};
+use splitmfg::attack::attack::{AttackConfig, Oracle, ScoreOptions, TrainedAttack};
 use splitmfg::attack::Parallelism;
 use splitmfg::layout::{SplitLayer, SplitView, Suite};
 
@@ -19,9 +19,8 @@ fn views(split: u8) -> Vec<SplitView> {
         .split_all(SplitLayer::new(split).expect("valid"))
 }
 
-fn opts(enumeration: Enumeration) -> ScoreOptions {
+fn opts() -> ScoreOptions {
     ScoreOptions {
-        enumeration,
         parallelism: Parallelism::Sequential,
         ..ScoreOptions::default()
     }
@@ -47,8 +46,15 @@ fn spatial_enumeration_reproduces_the_oracle_on_every_benchmark_and_layer() {
                 .map(|(_, v)| v)
                 .collect();
             let model = TrainedAttack::train(&cfg, &train, None).expect("train");
-            let oracle = model.score(&vs[t], &opts(Enumeration::AllPairs));
-            let spatial = model.score(&vs[t], &opts(Enumeration::Spatial));
+            let oracle = model.score_oracle(
+                &vs[t],
+                &opts(),
+                Oracle {
+                    all_pairs: true,
+                    ..Oracle::default()
+                },
+            );
+            let spatial = model.score(&vs[t], &opts());
             assert_eq!(
                 oracle.hist, spatial.hist,
                 "layer {split}, target {}: LoC histogram diverged",
@@ -72,26 +78,23 @@ fn spatial_enumeration_reproduces_the_oracle_on_every_benchmark_and_layer() {
 #[test]
 fn enumeration_kernel_and_parallelism_axes_compose() {
     // All three execution axes at once: spatial + compiled + threads must
-    // equal all-pairs + reference + sequential. One layer suffices — the
+    // equal all-pairs + per-pair + sequential. One layer suffices — the
     // cross-product above covers the enumeration axis, kernel_parity.rs
     // the kernel axis, and parallel_determinism.rs the thread axis.
     let vs = views(6);
     let train: Vec<&SplitView> = vs[1..].iter().collect();
     let model = TrainedAttack::train(&AttackConfig::imp11(), &train, None).expect("train");
-    let baseline = model.score(
+    let baseline = model.score_oracle(
         &vs[0],
-        &ScoreOptions {
-            enumeration: Enumeration::AllPairs,
-            kernel: Kernel::Reference,
-            parallelism: Parallelism::Sequential,
-            ..ScoreOptions::default()
+        &opts(),
+        Oracle {
+            per_pair: true,
+            all_pairs: true,
         },
     );
     let streamed = model.score(
         &vs[0],
         &ScoreOptions {
-            enumeration: Enumeration::Spatial,
-            kernel: Kernel::Compiled,
             parallelism: Parallelism::Threads(3),
             ..ScoreOptions::default()
         },

@@ -1,10 +1,11 @@
 //! The compiled scoring kernel must be invisible in results: for every
-//! benchmark and split layer, a full attack run with
-//! `Kernel::Compiled` (flattened ensemble + SoA batch feature extraction)
-//! produces exactly the `ScoredView` of `Kernel::Reference` — LoC
-//! histogram, slot probabilities, and derived curve, bit for bit.
+//! benchmark and split layer, a full attack run through the shipping
+//! path (flattened ensemble + SoA batch feature extraction) produces
+//! exactly the `ScoredView` of the per-pair oracle
+//! (`FeatureSet::compute_into` + `Bagging::proba`) — LoC histogram, slot
+//! probabilities, and derived curve, bit for bit.
 
-use splitmfg::attack::attack::{AttackConfig, Kernel, ScoreOptions, TrainedAttack};
+use splitmfg::attack::attack::{AttackConfig, Oracle, ScoreOptions, TrainedAttack};
 use splitmfg::attack::Parallelism;
 use splitmfg::layout::{SplitLayer, SplitView, Suite};
 
@@ -16,13 +17,17 @@ fn views(split: u8) -> Vec<SplitView> {
         .split_all(SplitLayer::new(split).expect("valid"))
 }
 
-fn opts(kernel: Kernel) -> ScoreOptions {
+fn opts() -> ScoreOptions {
     ScoreOptions {
-        kernel,
         parallelism: Parallelism::Sequential,
         ..ScoreOptions::default()
     }
 }
+
+const PER_PAIR: Oracle = Oracle {
+    per_pair: true,
+    all_pairs: false,
+};
 
 #[test]
 fn compiled_kernel_reproduces_reference_on_every_benchmark_and_layer() {
@@ -37,8 +42,8 @@ fn compiled_kernel_reproduces_reference_on_every_benchmark_and_layer() {
                 .collect();
             let cfg = AttackConfig::imp9();
             let model = TrainedAttack::train(&cfg, &train, None).expect("train");
-            let reference = model.score(&vs[t], &opts(Kernel::Reference));
-            let compiled = model.score(&vs[t], &opts(Kernel::Compiled));
+            let reference = model.score_oracle(&vs[t], &opts(), PER_PAIR);
+            let compiled = model.score(&vs[t], &opts());
             assert_eq!(
                 reference.hist, compiled.hist,
                 "layer {split}, target {}: LoC histogram diverged",
@@ -67,11 +72,10 @@ fn compiled_kernel_is_also_parallelism_invariant() {
     let vs = views(8);
     let train: Vec<&SplitView> = vs[1..].iter().collect();
     let model = TrainedAttack::train(&AttackConfig::imp11(), &train, None).expect("train");
-    let baseline = model.score(&vs[0], &opts(Kernel::Reference));
+    let baseline = model.score_oracle(&vs[0], &opts(), PER_PAIR);
     let threaded = model.score(
         &vs[0],
         &ScoreOptions {
-            kernel: Kernel::Compiled,
             parallelism: Parallelism::Threads(3),
             ..ScoreOptions::default()
         },
